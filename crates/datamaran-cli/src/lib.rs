@@ -44,8 +44,8 @@ use datamaran_core::{
     all_tables_csv, snapshot_from_artifact, table_to_csv, CountingSink, CsvSink, Datamaran,
     DatamaranConfig, Error, ErrorPolicy, EvaluationBackend, ExtractionBackend, ExtractionReport,
     Grammar, JsonLinesSink, MatchingBackend, QuarantineSink, RecordSink, RetryPolicy, RetryingSink,
-    SearchStrategy, ServeMetrics, ServeOptions, ServeSession, SnapshotStore, StreamBudgets,
-    StreamOptions, StreamReport, StreamSummary, StructureTemplate, TemplateArtifact,
+    SearchStrategy, ServeOptions, ServeSession, SnapshotStore, StreamBudgets, StreamOptions,
+    StreamReport, StreamSession, StreamSummary, StructureTemplate, TemplateArtifact,
     WriteQuarantineSink,
 };
 use logclust::{ClusterConfig, LogCluster};
@@ -789,19 +789,23 @@ fn run_guarded<R: BufRead, S: RecordSink>(
     sink: &mut S,
     quarantine: Option<&mut dyn QuarantineSink>,
 ) -> Result<(StreamSummary, usize), CliError> {
+    let mut session = StreamSession::new(engine).options(options);
+    if let Some(q) = quarantine {
+        session = session.quarantine(q);
+    }
     if cli.sink_retries > 0 {
         let policy = RetryPolicy {
             max_retries: cli.sink_retries,
             ..RetryPolicy::default()
         };
         let mut retrying = RetryingSink::new(&mut *sink, policy);
-        let summary = engine
-            .stream_guarded(reader, options, &mut retrying, quarantine)
+        let summary = session
+            .run(reader, &mut retrying)
             .map_err(|e| CliError::from_core(&e))?;
         Ok((summary, retrying.retries()))
     } else {
-        let summary = engine
-            .stream_guarded(reader, options, sink, quarantine)
+        let summary = session
+            .run(reader, sink)
             .map_err(|e| CliError::from_core(&e))?;
         Ok((summary, 0))
     }
@@ -981,32 +985,6 @@ fn run_stream<W: Write>(cli: &Cli, path: &Path, out: &mut W) -> Result<(), CliEr
     outcome
 }
 
-/// Streams log lines through a [`ServeSession`] backed by `store`.  Lines are read raw
-/// and decoded lossily — a stray invalid byte becomes noise for the matcher instead of
-/// aborting the whole stream, which is the same policy the standalone daemon uses.
-fn serve_into<R: BufRead, S: RecordSink + ?Sized>(
-    engine: &Datamaran,
-    store: &SnapshotStore,
-    options: ServeOptions,
-    mut reader: R,
-    sink: &mut S,
-) -> Result<ServeMetrics, Error> {
-    let mut session = ServeSession::new(engine, store, options)?;
-    let mut raw = Vec::new();
-    loop {
-        raw.clear();
-        let n = reader
-            .read_until(b'\n', &mut raw)
-            .map_err(|e| Error::io(&e))?;
-        if n == 0 {
-            break;
-        }
-        let line = String::from_utf8_lossy(&raw);
-        session.push_line(&line, sink)?;
-    }
-    session.finish(sink)
-}
-
 /// Runs `serve FILE --templates ARTIFACT`: replays the file through the saved template
 /// snapshot with zero hot-path discovery, hot-swapping the template set when the drift
 /// threshold trips.  Rows are JSON Lines; with `--output FILE` the rows go there and the
@@ -1032,18 +1010,22 @@ fn run_serve<W: Write>(cli: &Cli, path: &Path, out: &mut W) -> Result<(), CliErr
     let file = fs::File::open(path)
         .map_err(|e| CliError::io(format!("cannot open {}: {e}", path.display())))?;
     let reader = std::io::BufReader::new(file);
+    let session =
+        ServeSession::new(&engine, &store, options).map_err(|e| CliError::from_core(&e))?;
     match &cli.output {
         Some(output) => {
             let sink_file = fs::File::create(output)
                 .map_err(|e| CliError::io(format!("cannot create {}: {e}", output.display())))?;
             let mut sink = JsonLinesSink::new(BufWriter::new(sink_file));
-            let metrics = serve_into(&engine, &store, options, reader, &mut sink)
+            let metrics = session
+                .run(reader, &mut sink, None)
                 .map_err(|e| CliError::from_core(&e))?;
             writeln!(out, "{}", metrics.to_json()).map_err(|e| CliError::io(e.to_string()))
         }
         None => {
             let mut sink = JsonLinesSink::new(&mut *out);
-            serve_into(&engine, &store, options, reader, &mut sink)
+            session
+                .run(reader, &mut sink, None)
                 .map_err(|e| CliError::from_core(&e))?;
             Ok(())
         }
@@ -1866,5 +1848,74 @@ mod tests {
 
         fs::remove_dir_all(base).ok();
         fs::remove_file(path).ok();
+    }
+
+    /// `serve FILE` and the daemon read lines through the same loop, so corrupt bytes are
+    /// decoded lossily and counted identically on both surfaces.
+    #[test]
+    fn serve_counts_invalid_utf8_like_the_daemon() {
+        let base =
+            std::env::temp_dir().join(format!("datamaran_cli_serve_utf8_{}", std::process::id()));
+        fs::create_dir_all(&base).unwrap();
+        let clean = web_log(600);
+        let clean_path = base.join("clean.log");
+        fs::write(&clean_path, &clean).unwrap();
+        let artifact = base.join("templates.json");
+        run(
+            &args(&[
+                "discover",
+                clean_path.to_str().unwrap(),
+                "--save-templates",
+                artifact.to_str().unwrap(),
+            ]),
+            &mut Vec::new(),
+        )
+        .unwrap();
+
+        let mut corrupt = Vec::new();
+        for (i, line) in clean.lines().enumerate() {
+            if i == 100 || i == 400 {
+                corrupt.extend_from_slice(b"garbage \xFF\xFE bytes\n");
+            }
+            corrupt.extend_from_slice(line.as_bytes());
+            corrupt.push(b'\n');
+        }
+        let corrupt_path = base.join("corrupt.log");
+        fs::write(&corrupt_path, &corrupt).unwrap();
+        let rows = base.join("rows.jsonl");
+        let mut out = Vec::new();
+        run(
+            &args(&[
+                "serve",
+                corrupt_path.to_str().unwrap(),
+                "--templates",
+                artifact.to_str().unwrap(),
+                "--output",
+                rows.to_str().unwrap(),
+            ]),
+            &mut out,
+        )
+        .unwrap();
+        let doc = datamaran_core::JsonValue::parse(std::str::from_utf8(&out).unwrap()).unwrap();
+        let stream = doc.require("stream").unwrap();
+        let field = |key: &str| stream.require(key).unwrap().as_usize().unwrap();
+
+        let loaded = TemplateArtifact::load(&artifact).unwrap();
+        let daemon = datamaran_serve::Daemon::new(
+            Datamaran::with_defaults(),
+            snapshot_from_artifact(&loaded),
+            ServeOptions::default(),
+            Box::new(std::io::sink()),
+            datamaran_serve::FlushPolicy::default(),
+        )
+        .unwrap();
+        let served = daemon.handle_stream(std::io::Cursor::new(corrupt)).unwrap();
+        assert_eq!(served.summary.invalid_utf8_lines, 2);
+        assert_eq!(
+            field("invalid_utf8_lines"),
+            served.summary.invalid_utf8_lines
+        );
+        assert_eq!(field("records"), served.summary.records);
+        fs::remove_dir_all(base).ok();
     }
 }

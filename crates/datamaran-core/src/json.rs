@@ -345,12 +345,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::new("invalid utf-8", *pos))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash as one slice: both
+                // are ASCII, so a run never splits a UTF-8 sequence, and each byte is
+                // validated once (the string parses in linear time).
+                let start = *pos;
+                let end = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |i| start + i);
+                let run = std::str::from_utf8(&bytes[start..end])
+                    .map_err(|_| JsonError::new("invalid utf-8", start))?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -429,6 +435,17 @@ mod tests {
         assert!(v.get("n").unwrap().as_usize().is_err());
         assert!(v.get("s").unwrap().as_f64().is_err());
         assert_eq!(v.get("n").unwrap().as_f64().unwrap(), 1.5);
+    }
+
+    #[test]
+    fn multi_megabyte_string_value_parses() {
+        // One 4 MiB value mixing multi-byte characters with escapes: the parser must copy
+        // runs, not rescan the rest of the document per character.
+        let chunk = "log line — 日本 \"quoted\" \\ tab\t end\n";
+        let value = chunk.repeat(4 * 1024 * 1024 / chunk.len());
+        let doc = JsonValue::Object(vec![("payload".into(), JsonValue::String(value.clone()))]);
+        let parsed = JsonValue::parse(&doc.to_pretty()).unwrap();
+        assert_eq!(parsed.require("payload").unwrap().as_str().unwrap(), value);
     }
 
     #[test]

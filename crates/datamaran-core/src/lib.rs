@@ -120,15 +120,10 @@ pub use relational::{to_denormalized, to_relational, Cell, RelationalOutput, Row
 pub use scores::{NoisePenaltyScorer, NonFieldCoverageScorer, UntypedMdlScorer};
 pub use semtype::{annotate_result, annotate_table, SemanticType, TableAnnotation};
 pub use serve::{
-    merge_summaries, snapshot_from_artifact, PersistenceStats, ServeMetrics, ServeOptions,
-    ServeSession, SnapshotStore, SwapPersistence, TemplateSnapshot,
+    snapshot_from_artifact, PersistenceStats, ServeMetrics, ServeOptions, ServeSession,
+    SnapshotStore, SwapPersistence, TemplateSnapshot,
 };
 pub use span::{field_spans, tokenize_spans, LineIndex, SpanToken, SpanTokenKind};
-#[allow(deprecated)]
-pub use streaming::{
-    extract_stream, extract_stream_sink, extract_stream_sink_guarded,
-    extract_stream_with_templates, extract_stream_with_templates_guarded,
-};
 pub use streaming::{
     ErrorPolicy, OwnedRecord, QuarantineEntry, QuarantineReason, QuarantineSink, StopReason,
     StreamBudgets, StreamOptions, StreamRecord, StreamSession, StreamSummary, VecQuarantineSink,

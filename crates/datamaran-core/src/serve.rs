@@ -16,12 +16,12 @@
 //!   install a new snapshot with [`swap`](SnapshotStore::swap).  Sessions already holding
 //!   the old `Arc` finish their window on it and pick up the new one at the next window
 //!   boundary: no torn reads, no blocking of the hot path.
-//! * [`ServeSession`] — the per-connection processor: buffers pushed lines, decides them
-//!   window by window with the same safe-limit carry-over rule as the batch loop, tracks
-//!   the per-window unmatched rate ([`WindowUnmatched`]), accumulates unmatched lines in a
-//!   bounded **residual buffer**, and — when the rate degrades past the configured
-//!   threshold — re-runs discovery on that residual and publishes the merged template set
-//!   as a new snapshot (*online inference*).
+//! * [`ServeSession`] — the per-connection processor: reads or is pushed lines, decides
+//!   them window by window with the batch loop's own window decider, tracks the per-window
+//!   unmatched rate ([`WindowUnmatched`](crate::streaming::WindowUnmatched)), accumulates
+//!   unmatched lines in a bounded **residual buffer**, and — when the rate degrades past
+//!   the configured threshold — re-runs discovery on that residual and publishes the
+//!   merged template set as a new snapshot (*online inference*).
 //!
 //! The lifecycle hand-off in and out of this module is the [`TemplateArtifact`]: `discover
 //! --save-templates` writes one, [`snapshot_from_artifact`] turns it into the initial
@@ -34,14 +34,15 @@ use crate::artifact::TemplateArtifact;
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
 use crate::export::{RecordSink, StreamReport};
-use crate::extract::{SpanLineMatcher, SpanScratch};
+use crate::extract::{MatchStats, SpanLineMatcher, SpanScratch};
 use crate::json::JsonValue;
 use crate::parser::FieldCell;
 use crate::pipeline::Datamaran;
-use crate::streaming::{StreamRecord, StreamSummary, WindowUnmatched};
+use crate::streaming::{StreamSummary, WindowDecider, WindowMatch, WindowRecord};
 use crate::structure::StructureTemplate;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::BufRead;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Tuning of the online-inference loop.
@@ -141,21 +142,13 @@ impl TemplateSnapshot {
         templates: Vec<StructureTemplate>,
         engine: &Datamaran,
     ) -> Result<Self> {
-        if templates.is_empty() {
-            return Err(Error::NoStructureFound);
-        }
-        let max_line_span = engine.config().max_line_span;
-        let matcher = SpanLineMatcher::with_backend(
-            &templates,
-            max_line_span,
-            engine.config().matching_backend,
-        );
-        Ok(TemplateSnapshot {
+        let config = engine.config();
+        Self::from_templates(
             version,
             templates,
-            matcher,
-            max_line_span,
-        })
+            config.max_line_span,
+            config.matching_backend,
+        )
     }
 
     /// The snapshot's monotonically increasing version (1 = the initial snapshot).
@@ -366,7 +359,7 @@ impl SnapshotStore {
 
 /// A point-in-time view of a session's serving counters (everything the `/metrics`
 /// endpoint and the end-of-connection report expose).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServeMetrics {
     /// The streaming counters, window histories included — the same shape as a batch
     /// [`StreamSummary`], so [`StreamReport`] serializes both.
@@ -386,6 +379,42 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
+    /// Folds one session's metrics into this aggregate (the daemon's `/metrics` across
+    /// connections).  Counters add, window histories concatenate, the peak and the
+    /// snapshot version take the max, and the aggregate adopts the newer template set.
+    /// The residual gauges describe one live buffer and are left as they are.
+    pub fn merge(&mut self, part: &ServeMetrics) {
+        let (total, p) = (&mut self.summary, &part.summary);
+        total.records += p.records;
+        total.noise_lines += p.noise_lines;
+        total.bytes_processed += p.bytes_processed;
+        total.lines_processed += p.lines_processed;
+        total.windows += p.windows;
+        total.peak_window_bytes = total.peak_window_bytes.max(p.peak_window_bytes);
+        total.sink_seconds += p.sink_seconds;
+        total.match_seconds += p.match_seconds;
+        total.quarantined_lines += p.quarantined_lines;
+        total.quarantined_bytes += p.quarantined_bytes;
+        total.invalid_utf8_lines += p.invalid_utf8_lines;
+        total.oversized_lines += p.oversized_lines;
+        total
+            .window_unmatched
+            .extend_from_slice(&p.window_unmatched);
+        total
+            .window_match_stats
+            .extend_from_slice(&p.window_match_stats);
+        if !p.templates.is_empty() {
+            total.templates = p.templates.clone();
+        }
+        if p.stopped_reason.is_some() {
+            total.stopped_reason = p.stopped_reason;
+        }
+        self.snapshot_version = self.snapshot_version.max(part.snapshot_version);
+        self.swaps += part.swaps;
+        self.rediscover_failures += part.rediscover_failures;
+        self.residual_dropped += part.residual_dropped;
+    }
+
     /// Renders the metrics as one JSON document: a `stream` section sharing the
     /// [`StreamReport`] schema byte-for-byte with the pipeline's JSON report, plus a
     /// `serve` section with the snapshot/drift counters.
@@ -429,39 +458,78 @@ impl ServeMetrics {
     }
 }
 
-/// Folds one session's finished counters into a daemon-wide aggregate (used by the
-/// daemon's `/metrics` endpoint across connections).  Scalar counters add, window
-/// histories concatenate, the peak takes the max, and the aggregate adopts the newer
-/// template set.
-pub fn merge_summaries(total: &mut StreamSummary, part: &StreamSummary) {
-    total.records += part.records;
-    total.noise_lines += part.noise_lines;
-    total.bytes_processed += part.bytes_processed;
-    total.lines_processed += part.lines_processed;
-    total.windows += part.windows;
-    total.peak_window_bytes = total.peak_window_bytes.max(part.peak_window_bytes);
-    total.sink_seconds += part.sink_seconds;
-    total.match_seconds += part.match_seconds;
-    total.quarantined_lines += part.quarantined_lines;
-    total.quarantined_bytes += part.quarantined_bytes;
-    total.invalid_utf8_lines += part.invalid_utf8_lines;
-    total.oversized_lines += part.oversized_lines;
-    total
-        .window_unmatched
-        .extend(part.window_unmatched.iter().copied());
-    total
-        .window_match_stats
-        .extend(part.window_match_stats.iter().copied());
-    if !part.templates.is_empty() {
-        total.templates = part.templates.clone();
+/// The serving session's [`WindowMatch`]: the shared snapshot's compiled matcher plus the
+/// session's own scratch arenas.
+struct SnapshotMatch<'s> {
+    matcher: &'s SpanLineMatcher,
+    scratch: &'s mut SpanScratch,
+    stats_before: MatchStats,
+}
+
+impl WindowMatch for SnapshotMatch<'_> {
+    fn begin_window(&mut self, _dataset: &Dataset) {
+        self.stats_before = self.scratch.stats;
     }
-    if part.stopped_reason.is_some() {
-        total.stopped_reason = part.stopped_reason;
+
+    fn match_line(
+        &mut self,
+        dataset: &Dataset,
+        line: usize,
+        cells: &mut Vec<FieldCell>,
+        reps: &mut Vec<u32>,
+    ) -> Option<WindowRecord> {
+        cells.clear();
+        reps.clear();
+        self.matcher
+            .match_line_into(dataset, line, cells, reps, self.scratch)
+            .map(|rec| WindowRecord {
+                template_index: rec.template_index as usize,
+                line_span: rec.line_span,
+            })
+    }
+
+    fn window_stats(&self) -> MatchStats {
+        self.scratch.stats.since(&self.stats_before)
+    }
+}
+
+/// Unmatched lines accumulated for rediscovery (newline-terminated), oldest dropped first
+/// once the byte cap would be exceeded.
+#[derive(Default)]
+struct Residual {
+    text: String,
+    lines: usize,
+    dropped: usize,
+}
+
+impl Residual {
+    /// Appends one unmatched line, dropping the oldest residual lines to stay within `cap`
+    /// bytes (a line longer than `cap` is dropped outright).
+    fn push(&mut self, line_text: &str, cap: usize) {
+        if line_text.len() > cap {
+            self.dropped += 1;
+            return;
+        }
+        while self.text.len() + line_text.len() > cap && !self.text.is_empty() {
+            let first_end = self.text.find('\n').map_or(self.text.len(), |i| i + 1);
+            self.text.drain(..first_end);
+            self.lines = self.lines.saturating_sub(1);
+            self.dropped += 1;
+        }
+        self.text.push_str(line_text);
+        if !line_text.ends_with('\n') {
+            self.text.push('\n');
+        }
+        self.lines += 1;
     }
 }
 
 /// The per-connection serving processor: push lines in, records come out of the sink,
 /// drift comes out as hot swaps.
+///
+/// Windows are decided by the same decider as [`StreamSession`](crate::streaming::StreamSession)
+/// (safe-limit carry-over, sampled sink timing, per-window counters); the session itself
+/// only refreshes the snapshot, keeps the residual buffer, and runs the drift trigger.
 ///
 /// The session holds its own `Arc` of the current snapshot and refreshes it from the
 /// [`SnapshotStore`] at window boundaries — a swap published by any session (or an
@@ -475,17 +543,12 @@ pub struct ServeSession<'a> {
     options: ServeOptions,
     snapshot: Arc<TemplateSnapshot>,
     scratch: SpanScratch,
-    cells: Vec<FieldCell>,
-    reps: Vec<u32>,
+    decider: WindowDecider,
     /// Undecided window text (every line newline-terminated).
     buffer: String,
     pending_lines: usize,
-    /// Unmatched lines accumulated for rediscovery (newline-terminated).
-    residual: String,
-    residual_lines: usize,
-    residual_dropped: usize,
+    residual: Residual,
     summary: StreamSummary,
-    global_line: usize,
     swaps: u64,
     rediscover_failures: u64,
     begun_version: Option<u64>,
@@ -510,19 +573,43 @@ impl<'a> ServeSession<'a> {
             options,
             snapshot,
             scratch: SpanScratch::default(),
-            cells: Vec::new(),
-            reps: Vec::new(),
+            decider: WindowDecider::default(),
             buffer: String::new(),
             pending_lines: 0,
-            residual: String::new(),
-            residual_lines: 0,
-            residual_dropped: 0,
+            residual: Residual::default(),
             summary,
-            global_line: 0,
             swaps: 0,
             rediscover_failures: 0,
             begun_version: None,
         })
+    }
+
+    /// Serves `reader` line by line until it ends — or until `shutdown` flips (checked
+    /// between lines) — then [`finish`](Self::finish)es the session.  Lines are read raw;
+    /// invalid UTF-8 is decoded lossily (a stray byte becomes noise for the matcher
+    /// instead of aborting the stream) and counted in
+    /// [`StreamSummary::invalid_utf8_lines`].
+    pub fn run<R: BufRead, S: RecordSink + ?Sized>(
+        mut self,
+        mut reader: R,
+        sink: &mut S,
+        shutdown: Option<&AtomicBool>,
+    ) -> Result<ServeMetrics> {
+        let mut raw = Vec::new();
+        while !shutdown.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+            raw.clear();
+            if reader.read_until(b'\n', &mut raw)? == 0 {
+                break;
+            }
+            match std::str::from_utf8(&raw) {
+                Ok(line) => self.push_line(line, sink)?,
+                Err(_) => {
+                    self.summary.invalid_utf8_lines += 1;
+                    self.push_line(&String::from_utf8_lossy(&raw), sink)?;
+                }
+            }
+        }
+        self.finish(sink)
     }
 
     /// Pushes one line (with or without its terminator) into the session, processing a
@@ -560,13 +647,16 @@ impl<'a> ServeSession<'a> {
     /// A point-in-time copy of the session's counters.
     pub fn metrics(&self) -> ServeMetrics {
         ServeMetrics {
-            summary: self.summary.clone(),
+            summary: StreamSummary {
+                sink_seconds: self.decider.sink_seconds(),
+                ..self.summary.clone()
+            },
             snapshot_version: self.snapshot.version(),
             swaps: self.swaps,
             rediscover_failures: self.rediscover_failures,
-            residual_lines: self.residual_lines,
-            residual_bytes: self.residual.len(),
-            residual_dropped: self.residual_dropped,
+            residual_lines: self.residual.lines,
+            residual_bytes: self.residual.text.len(),
+            residual_dropped: self.residual.dropped,
         }
     }
 
@@ -597,129 +687,50 @@ impl<'a> ServeSession<'a> {
         Ok(())
     }
 
-    /// Decides one window of buffered lines: the batch loop's safe-limit rule, record
-    /// emission, residual accumulation, drift tracking, and — when triggered —
-    /// rediscovery and hot swap.
+    /// Decides one window of buffered lines with the shared decider (unmatched lines feed
+    /// the residual buffer), then runs the drift trigger.
     fn process_window<S: RecordSink + ?Sized>(&mut self, sink: &mut S, eof: bool) -> Result<()> {
         self.refresh_snapshot(sink)?;
         self.ensure_begun(sink)?;
-        let timer = std::time::Instant::now();
-        let stats_before = self.scratch.stats;
-        let dataset = Dataset::new(self.buffer.as_str());
-        let n = dataset.line_count();
-        if n == 0 {
-            self.buffer.clear();
+        if self.buffer.is_empty() {
             self.pending_lines = 0;
             return Ok(());
         }
-        self.summary.windows += 1;
-        self.summary.peak_window_bytes = self
-            .summary
-            .peak_window_bytes
-            .max(self.buffer.capacity() + dataset.len());
-        let max_span = self.snapshot.max_line_span();
-        let safe_limit = if eof { n } else { n.saturating_sub(max_span) };
-
-        let mut line = 0usize;
-        let mut window_noise = 0usize;
-        while line < n {
-            self.cells.clear();
-            self.reps.clear();
-            let matched = self.snapshot.matcher().match_line_into(
-                &dataset,
-                line,
-                &mut self.cells,
-                &mut self.reps,
-                &mut self.scratch,
-            );
-            match matched {
-                Some(rec) => {
-                    if !eof && rec.line_span.1 > safe_limit {
-                        break;
-                    }
-                    let record = StreamRecord {
-                        template_index: rec.template_index as usize,
-                        line_span: (
-                            self.global_line + rec.line_span.0,
-                            self.global_line + rec.line_span.1,
-                        ),
-                        window: dataset.text(),
-                        cells: &self.cells,
-                        reps: &self.reps,
-                    };
-                    sink.record(&record)?;
-                    self.summary.records += 1;
-                    line = rec.line_span.1;
-                }
-                None => {
-                    if !eof && line >= safe_limit {
-                        break;
-                    }
-                    self.summary.noise_lines += 1;
-                    window_noise += 1;
-                    let (s, e) = dataset.line_span(line);
-                    self.push_residual(&dataset.text()[s..e]);
-                    line += 1;
-                }
-            }
-        }
-        self.summary.match_seconds += timer.elapsed().as_secs_f64();
-
-        let consumed_lines = line.min(n);
-        let consumed_bytes = if line >= n {
-            self.buffer.len()
+        let mut matcher = SnapshotMatch {
+            matcher: self.snapshot.matcher(),
+            scratch: &mut self.scratch,
+            stats_before: MatchStats::default(),
+        };
+        let residual = &mut self.residual;
+        let cap = self.options.residual_bytes;
+        let lookahead = if eof {
+            0
         } else {
-            dataset.line_start(line)
+            self.snapshot.max_line_span()
         };
-        let window = WindowUnmatched {
-            lines: consumed_lines,
-            unmatched: window_noise,
-        };
-        self.summary.bytes_processed += consumed_bytes;
-        self.summary.lines_processed += consumed_lines;
-        self.summary.window_unmatched.push(window);
-        self.summary
-            .window_match_stats
-            .push(self.scratch.stats.since(&stats_before));
-        self.global_line += consumed_lines;
-        let tail = self.buffer.split_off(consumed_bytes);
-        self.buffer = tail;
-        self.pending_lines = n - consumed_lines;
+        let (window, carried) = self.decider.decide(
+            &mut self.buffer,
+            lookahead,
+            &mut matcher,
+            sink,
+            &mut self.summary,
+            |_, _, text| {
+                residual.push(text, cap);
+                Ok(())
+            },
+        )?;
+        self.pending_lines = carried;
 
         // The drift trigger: this window's unmatched rate reached the threshold and the
         // residual is large enough for discovery to be meaningful.
         if self.options.rediscover
             && window.lines > 0
             && window.unmatched_rate() >= self.options.drift_threshold
-            && self.residual_lines >= self.options.min_residual_lines
+            && self.residual.lines >= self.options.min_residual_lines
         {
             self.try_rediscover(sink)?;
         }
         Ok(())
-    }
-
-    /// Appends one unmatched line to the residual buffer, dropping the oldest residual
-    /// lines when the byte cap would be exceeded.
-    fn push_residual(&mut self, line_text: &str) {
-        let cap = self.options.residual_bytes;
-        if line_text.len() > cap {
-            self.residual_dropped += 1;
-            return;
-        }
-        while self.residual.len() + line_text.len() > cap && !self.residual.is_empty() {
-            let first_end = self
-                .residual
-                .find('\n')
-                .map_or(self.residual.len(), |i| i + 1);
-            self.residual.drain(..first_end);
-            self.residual_lines = self.residual_lines.saturating_sub(1);
-            self.residual_dropped += 1;
-        }
-        self.residual.push_str(line_text);
-        if !line_text.ends_with('\n') {
-            self.residual.push('\n');
-        }
-        self.residual_lines += 1;
     }
 
     /// Runs discovery on the residual buffer; on success, publishes a new snapshot whose
@@ -728,7 +739,7 @@ impl<'a> ServeSession<'a> {
     /// failed attempt (no structure in the residual, or nothing genuinely new) leaves the
     /// snapshot and residual untouched and is counted.
     fn try_rediscover<S: RecordSink + ?Sized>(&mut self, sink: &mut S) -> Result<()> {
-        let discovered = match self.engine.extract(&self.residual) {
+        let discovered = match self.engine.extract(&self.residual.text) {
             Ok(result) => result
                 .templates()
                 .into_iter()
@@ -760,8 +771,8 @@ impl<'a> ServeSession<'a> {
         let next = Arc::new(TemplateSnapshot::compile(version, merged, self.engine)?);
         self.store.swap(next);
         self.swaps += 1;
-        self.residual.clear();
-        self.residual_lines = 0;
+        self.residual.text.clear();
+        self.residual.lines = 0;
         // Adopt the published snapshot immediately: the very next window should already
         // match the drifted lines.
         self.refresh_snapshot(sink)?;
@@ -1047,34 +1058,57 @@ mod tests {
     }
 
     #[test]
-    fn merge_summaries_adds_counters_and_concatenates_windows() {
-        let mut a = StreamSummary {
-            records: 10,
-            noise_lines: 1,
-            windows: 2,
-            peak_window_bytes: 100,
-            window_unmatched: vec![WindowUnmatched {
-                lines: 10,
-                unmatched: 1,
-            }],
-            ..StreamSummary::default()
+    fn metrics_merge_adds_counters_and_concatenates_windows() {
+        use crate::streaming::WindowUnmatched;
+        let mut a = ServeMetrics {
+            summary: StreamSummary {
+                records: 10,
+                noise_lines: 1,
+                windows: 2,
+                peak_window_bytes: 100,
+                window_unmatched: vec![WindowUnmatched {
+                    lines: 10,
+                    unmatched: 1,
+                }],
+                ..StreamSummary::default()
+            },
+            swaps: 1,
+            residual_dropped: 4,
+            ..ServeMetrics::default()
         };
-        let b = StreamSummary {
-            records: 5,
-            noise_lines: 2,
-            windows: 1,
-            peak_window_bytes: 300,
-            window_unmatched: vec![WindowUnmatched {
-                lines: 5,
-                unmatched: 2,
-            }],
-            ..StreamSummary::default()
+        let b = ServeMetrics {
+            summary: StreamSummary {
+                records: 5,
+                noise_lines: 2,
+                windows: 1,
+                peak_window_bytes: 300,
+                invalid_utf8_lines: 2,
+                window_unmatched: vec![WindowUnmatched {
+                    lines: 5,
+                    unmatched: 2,
+                }],
+                ..StreamSummary::default()
+            },
+            snapshot_version: 3,
+            swaps: 2,
+            rediscover_failures: 1,
+            residual_lines: 7,
+            residual_bytes: 70,
+            residual_dropped: 1,
         };
-        merge_summaries(&mut a, &b);
-        assert_eq!(a.records, 15);
-        assert_eq!(a.noise_lines, 3);
-        assert_eq!(a.windows, 3);
-        assert_eq!(a.peak_window_bytes, 300);
-        assert_eq!(a.window_unmatched.len(), 2);
+        a.merge(&b);
+        assert_eq!(a.summary.records, 15);
+        assert_eq!(a.summary.noise_lines, 3);
+        assert_eq!(a.summary.windows, 3);
+        assert_eq!(a.summary.peak_window_bytes, 300);
+        assert_eq!(a.summary.invalid_utf8_lines, 2);
+        assert_eq!(a.summary.window_unmatched.len(), 2);
+        assert_eq!(a.snapshot_version, 3);
+        assert_eq!(
+            (a.swaps, a.rediscover_failures, a.residual_dropped),
+            (3, 1, 5)
+        );
+        // Residual gauges belong to one live buffer; they do not add up.
+        assert_eq!((a.residual_lines, a.residual_bytes), (0, 0));
     }
 }

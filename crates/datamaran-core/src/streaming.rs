@@ -30,8 +30,9 @@
 //! # Ok(()) }
 //! ```
 //!
-//! The session is the single implementation: the historical `extract_stream*` free
-//! functions survive as thin deprecated wrappers around it.
+//! The window decision itself — the safe-limit rule, record emission, noise counting and
+//! the carry-over split — lives in one crate-internal decider that the serving path of
+//! [`crate::serve`] runs too, so a batch stream and a served one segment identically.
 //!
 //! Records reach the sink as [`StreamRecord`]s — zero-copy views over the current window's
 //! text plus the recycled match arenas (flat field cells and array repetition counts, the
@@ -67,11 +68,11 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::config::{ExtractionBackend, MatchingBackend};
+use crate::config::ExtractionBackend;
 use crate::dataset::Dataset;
 use crate::error::{BudgetKind, Error, Result};
 use crate::export::RecordSink;
-use crate::extract::{MatchStats, SpanLineMatcher, SpanScratch};
+use crate::extract::{LineMatchTable, MatchStats, SpanLineMatcher, SpanScratch};
 use crate::parallel::{resolve_threads, ParallelOptions};
 use crate::parser::{tree_reps, FieldCell, LineMatcher};
 use crate::pipeline::Datamaran;
@@ -121,49 +122,18 @@ impl SinkTiming {
     }
 }
 
-/// The slice of a record match the streaming loop needs; field cells and repetition counts
+/// The slice of a record match the window decider needs; field cells and repetition counts
 /// land in reusable caller-supplied buffers instead of per-record vectors.
-struct WindowRecord {
-    template_index: usize,
-    line_span: (usize, usize),
+pub(crate) struct WindowRecord {
+    pub(crate) template_index: usize,
+    pub(crate) line_span: (usize, usize),
 }
 
-/// Per-window matcher honouring the engine's configured extraction backend (both produce
-/// identical matches; the span matcher never materializes instantiation trees — cells go
-/// straight from the op-table run into the reused buffers).  Built **once** per stream:
-/// template compilation is hoisted out of the window loop.
-enum WindowMatcher<'a> {
-    Legacy(LineMatcher<'a>),
-    Span(Box<SpanLineMatcher>, Box<SpanScratch>),
-}
-
-impl<'a> WindowMatcher<'a> {
-    fn new(
-        templates: &'a [StructureTemplate],
-        max_span: usize,
-        backend: ExtractionBackend,
-        matching: MatchingBackend,
-    ) -> Self {
-        match backend {
-            ExtractionBackend::Legacy => {
-                WindowMatcher::Legacy(LineMatcher::new(templates, max_span))
-            }
-            ExtractionBackend::Span => WindowMatcher::Span(
-                Box::new(SpanLineMatcher::with_backend(templates, max_span, matching)),
-                Box::default(),
-            ),
-        }
-    }
-
-    /// Snapshot of the matcher's accumulated work counters (zero for the legacy matcher,
-    /// which predates the counters).
-    fn stats(&self) -> MatchStats {
-        match self {
-            WindowMatcher::Legacy(_) => MatchStats::default(),
-            WindowMatcher::Span(_, scratch) => scratch.stats,
-        }
-    }
-
+/// Where [`WindowDecider::decide`] gets each line's match from.  The decider is generic over
+/// it, so the per-line call is static: no `dyn` dispatch on the hot path.
+pub(crate) trait WindowMatch {
+    /// Prepares one window (called once, before its first [`match_line`](Self::match_line)).
+    fn begin_window(&mut self, dataset: &Dataset);
     /// Attempts to match one record starting at `line`; on success `cells` holds exactly
     /// the record's field cells and `reps` its array repetition counts (pre-order arena
     /// layout, identical across backends).
@@ -173,11 +143,100 @@ impl<'a> WindowMatcher<'a> {
         line: usize,
         cells: &mut Vec<FieldCell>,
         reps: &mut Vec<u32>,
+    ) -> Option<WindowRecord>;
+    /// Matcher work counters of the window begun last.
+    fn window_stats(&self) -> MatchStats;
+}
+
+/// The streaming session's matcher, honouring the engine's configured extraction backend
+/// (both produce identical matches; the span matcher never materializes instantiation
+/// trees — cells go straight from the op-table run into the reused buffers).  Built
+/// **once** per stream: template compilation is hoisted out of the window loop.
+enum MatcherBackend<'a> {
+    Legacy(LineMatcher<'a>),
+    Span(Box<SpanLineMatcher>, Box<SpanScratch>),
+}
+
+/// [`MatcherBackend`] plus the per-window parallel match table: the per-line match question
+/// depends only on the text from each line onward, so a window's match table can be
+/// computed by scoped workers and replayed by the same sequential decider — record order
+/// and sink bytes are identical for any thread count (enforced by
+/// `tests/streaming_export_equivalence.rs`).  Small windows fall back to the incremental
+/// matcher via `effective_chunks`.
+struct WindowMatcher<'a> {
+    backend: MatcherBackend<'a>,
+    parallel: ParallelOptions,
+    table: Option<LineMatchTable>,
+    stats_before: MatchStats,
+}
+
+impl<'a> WindowMatcher<'a> {
+    fn new(templates: &'a [StructureTemplate], engine: &Datamaran) -> Self {
+        let config = engine.config();
+        let max_span = config.max_line_span;
+        let backend = match config.extraction_backend {
+            ExtractionBackend::Legacy => {
+                MatcherBackend::Legacy(LineMatcher::new(templates, max_span))
+            }
+            ExtractionBackend::Span => MatcherBackend::Span(
+                Box::new(SpanLineMatcher::with_backend(
+                    templates,
+                    max_span,
+                    config.matching_backend,
+                )),
+                Box::default(),
+            ),
+        };
+        WindowMatcher {
+            backend,
+            parallel: ParallelOptions::default()
+                .with_threads(resolve_threads(config.extraction_threads)),
+            table: None,
+            stats_before: MatchStats::default(),
+        }
+    }
+
+    /// The incremental matcher's accumulated work counters (zero for the legacy matcher,
+    /// which predates the counters).
+    fn scratch_stats(&self) -> MatchStats {
+        match &self.backend {
+            MatcherBackend::Legacy(_) => MatchStats::default(),
+            MatcherBackend::Span(_, scratch) => scratch.stats,
+        }
+    }
+}
+
+impl WindowMatch for WindowMatcher<'_> {
+    fn begin_window(&mut self, dataset: &Dataset) {
+        self.stats_before = self.scratch_stats();
+        let chunks = self.parallel.effective_chunks(dataset.line_count());
+        self.table = match &self.backend {
+            MatcherBackend::Span(m, _) if chunks > 1 => Some(m.match_table(dataset, chunks)),
+            _ => None,
+        };
+    }
+
+    fn match_line(
+        &mut self,
+        dataset: &Dataset,
+        line: usize,
+        cells: &mut Vec<FieldCell>,
+        reps: &mut Vec<u32>,
     ) -> Option<WindowRecord> {
         cells.clear();
         reps.clear();
-        match self {
-            WindowMatcher::Legacy(m) => m.match_line(dataset, line).map(|rec| {
+        if let Some(table) = &self.table {
+            return table.record_at(line).map(|(rec, rec_cells, rec_reps)| {
+                cells.extend_from_slice(rec_cells);
+                reps.extend_from_slice(rec_reps);
+                WindowRecord {
+                    template_index: rec.template_index as usize,
+                    line_span: rec.line_span,
+                }
+            });
+        }
+        match &mut self.backend {
+            MatcherBackend::Legacy(m) => m.match_line(dataset, line).map(|rec| {
                 cells.extend_from_slice(&rec.fields);
                 tree_reps(&rec.values, reps);
                 WindowRecord {
@@ -185,13 +244,132 @@ impl<'a> WindowMatcher<'a> {
                     line_span: rec.line_span,
                 }
             }),
-            WindowMatcher::Span(m, scratch) => m
+            MatcherBackend::Span(m, scratch) => m
                 .match_line_into(dataset, line, cells, reps, scratch)
                 .map(|rec| WindowRecord {
                     template_index: rec.template_index as usize,
                     line_span: rec.line_span,
                 }),
         }
+    }
+
+    fn window_stats(&self) -> MatchStats {
+        // The parallel path's table carries its own merged per-chunk counters; the
+        // incremental path is the delta on the long-lived scratch.
+        match &self.table {
+            Some(table) => table.stats(),
+            None => self.scratch_stats().since(&self.stats_before),
+        }
+    }
+}
+
+/// The per-window decision shared by [`StreamSession`] and
+/// [`ServeSession`](crate::serve::ServeSession), with the state it carries from window to
+/// window: the stream's global line offset, the recycled match arenas, and the sampled
+/// sink timing.
+#[derive(Default)]
+pub(crate) struct WindowDecider {
+    timing: SinkTiming,
+    global_line: usize,
+    cells: Vec<FieldCell>,
+    reps: Vec<u32>,
+}
+
+impl WindowDecider {
+    /// Decides one window of `buffer`.  A record is emitted only once every line it may
+    /// span has been seen: the last `lookahead` lines of the window (the record-span bound
+    /// mid-stream, 0 at end of input) may still be the head of a record whose tail has not
+    /// been read, so records ending inside them — and noise lines among them — stay
+    /// undecided.  Decided records go to `sink` (1-in-32 timed); each noise line is counted
+    /// and handed to `on_noise` with its window-relative index and text (terminator
+    /// included).  The window's counters land in `summary`, and `buffer` keeps only the
+    /// undecided tail.
+    ///
+    /// Returns the window's lines-vs-unmatched counters and the number of lines carried
+    /// over (always 0 when `lookahead` is 0).
+    pub(crate) fn decide<M, S, F>(
+        &mut self,
+        buffer: &mut String,
+        lookahead: usize,
+        matcher: &mut M,
+        sink: &mut S,
+        summary: &mut StreamSummary,
+        mut on_noise: F,
+    ) -> Result<(WindowUnmatched, usize)>
+    where
+        M: WindowMatch,
+        S: RecordSink + ?Sized,
+        F: FnMut(&mut StreamSummary, usize, &str) -> Result<()>,
+    {
+        let dataset = Dataset::new(buffer.as_str());
+        summary.windows += 1;
+        summary.peak_window_bytes = summary
+            .peak_window_bytes
+            .max(buffer.capacity() + dataset.len());
+        let n = dataset.line_count();
+        let safe_limit = n.saturating_sub(lookahead);
+
+        let match_timer = Instant::now();
+        matcher.begin_window(&dataset);
+        let mut line = 0usize;
+        let mut window_noise = 0usize;
+        while line < n {
+            match matcher.match_line(&dataset, line, &mut self.cells, &mut self.reps) {
+                Some(rec) => {
+                    if rec.line_span.1 > safe_limit {
+                        break;
+                    }
+                    let record = StreamRecord {
+                        template_index: rec.template_index,
+                        line_span: (
+                            self.global_line + rec.line_span.0,
+                            self.global_line + rec.line_span.1,
+                        ),
+                        window: dataset.text(),
+                        cells: &self.cells,
+                        reps: &self.reps,
+                    };
+                    self.timing.record(sink, &record)?;
+                    summary.records += 1;
+                    line = rec.line_span.1;
+                }
+                None => {
+                    if line >= safe_limit {
+                        break;
+                    }
+                    summary.noise_lines += 1;
+                    window_noise += 1;
+                    let (s, e) = dataset.line_span(line);
+                    on_noise(summary, line, &dataset.text()[s..e])?;
+                    line += 1;
+                }
+            }
+        }
+        summary.match_seconds += match_timer.elapsed().as_secs_f64();
+
+        // Everything before `line` is decided; account for it and carry the tail over.
+        let consumed_lines = line.min(n);
+        let consumed_bytes = if line >= n {
+            buffer.len()
+        } else {
+            dataset.line_start(line)
+        };
+        let window = WindowUnmatched {
+            lines: consumed_lines,
+            unmatched: window_noise,
+        };
+        summary.bytes_processed += consumed_bytes;
+        summary.lines_processed += consumed_lines;
+        summary.window_unmatched.push(window);
+        summary.window_match_stats.push(matcher.window_stats());
+        self.global_line += consumed_lines;
+        *buffer = buffer.split_off(consumed_bytes);
+        Ok((window, n - consumed_lines))
+    }
+
+    /// The estimated total seconds spent in per-record sink calls so far.
+    pub(crate) fn sink_seconds(&self) -> f64 {
+        self.timing.estimate()
     }
 }
 
@@ -397,7 +575,7 @@ impl StreamOptions {
 }
 
 /// One record emitted by the streaming extractor, with owned column values (the convenience
-/// representation of [`extract_stream`]; sinks on the hot path consume the zero-copy
+/// representation of [`StreamSession::run_with`]; sinks on the hot path consume the zero-copy
 /// [`StreamRecord`] instead).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OwnedRecord {
@@ -569,8 +747,7 @@ impl<F: FnMut(OwnedRecord)> RecordSink for ClosureSink<F> {
 /// budget), carries the window tuning, error policy, and resource budgets of a
 /// [`StreamOptions`], and optionally pins known templates (skipping head discovery) and a
 /// [`QuarantineSink`].  [`run`](Self::run) consumes the session and drives the single
-/// guarded window loop; every historical `extract_stream*` free function is now a thin
-/// deprecated wrapper over this type.
+/// guarded window loop.
 ///
 /// * no templates → head discovery on the first [`StreamOptions::head_bytes`];
 /// * [`templates`](Self::templates) → zero discovery on the hot path (discover once,
@@ -687,98 +864,6 @@ impl<'e, 'q> StreamSession<'e, 'q> {
     }
 }
 
-/// Runs streaming extraction over `reader`, invoking `sink` with an owned copy of every
-/// record.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `StreamSession::new(engine).options(options).run_with(reader, sink)`"
-)]
-pub fn extract_stream<R: BufRead, F: FnMut(OwnedRecord)>(
-    engine: &Datamaran,
-    reader: R,
-    options: StreamOptions,
-    sink: F,
-) -> Result<StreamSummary> {
-    StreamSession::new(engine)
-        .options(options)
-        .run_with(reader, sink)
-}
-
-/// Runs streaming extraction over `reader`, pushing every record into `sink`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `StreamSession::new(engine).options(options).run(reader, sink)`"
-)]
-pub fn extract_stream_sink<R: BufRead, S: RecordSink + ?Sized>(
-    engine: &Datamaran,
-    reader: R,
-    options: StreamOptions,
-    sink: &mut S,
-) -> Result<StreamSummary> {
-    StreamSession::new(engine)
-        .options(options)
-        .run(reader, sink)
-}
-
-/// [`extract_stream_sink`] with an optional [`QuarantineSink`] attached.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `StreamSession::new(engine).options(options).quarantine(sink).run(..)`"
-)]
-pub fn extract_stream_sink_guarded<R: BufRead, S: RecordSink + ?Sized>(
-    engine: &Datamaran,
-    reader: R,
-    options: StreamOptions,
-    sink: &mut S,
-    quarantine: Option<&mut dyn QuarantineSink>,
-) -> Result<StreamSummary> {
-    let mut session = StreamSession::new(engine).options(options);
-    if let Some(q) = quarantine {
-        session = session.quarantine(q);
-    }
-    session.run(reader, sink)
-}
-
-/// Runs streaming extraction over `reader` with **known** structure templates.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `StreamSession::new(engine).options(options).templates(templates).run(..)`"
-)]
-pub fn extract_stream_with_templates<R: BufRead, S: RecordSink + ?Sized>(
-    engine: &Datamaran,
-    reader: R,
-    options: StreamOptions,
-    templates: Vec<StructureTemplate>,
-    sink: &mut S,
-) -> Result<StreamSummary> {
-    StreamSession::new(engine)
-        .options(options)
-        .templates(templates)
-        .run(reader, sink)
-}
-
-/// [`extract_stream_with_templates`] with an optional [`QuarantineSink`] attached.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `StreamSession` with `.templates(..)` and `.quarantine(..)`"
-)]
-pub fn extract_stream_with_templates_guarded<R: BufRead, S: RecordSink + ?Sized>(
-    engine: &Datamaran,
-    reader: R,
-    options: StreamOptions,
-    templates: Vec<StructureTemplate>,
-    sink: &mut S,
-    quarantine: Option<&mut dyn QuarantineSink>,
-) -> Result<StreamSummary> {
-    let mut session = StreamSession::new(engine)
-        .options(options)
-        .templates(templates);
-    if let Some(q) = quarantine {
-        session = session.quarantine(q);
-    }
-    session.run(reader, sink)
-}
-
 /// Phase 2 of the streaming extractor: window-by-window extraction of an already-started
 /// stream (`buffer` holds the first window, `eof` whether the reader is exhausted).
 #[allow(clippy::too_many_arguments)]
@@ -798,34 +883,14 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
     }
     let max_span = engine.config().max_line_span;
     summary.templates = templates.clone();
-    let matcher_templates = templates;
     // Compile the templates once; the matcher is reused across every window.
-    let mut matcher = WindowMatcher::new(
-        &matcher_templates,
-        max_span,
-        engine.config().extraction_backend,
-        engine.config().matching_backend,
-    );
+    let mut matcher = WindowMatcher::new(&templates, engine);
+    let mut decider = WindowDecider::default();
     let mut sink_seconds = 0.0f64;
     let timed = Instant::now();
-    sink.begin(&matcher_templates)?;
+    sink.begin(&templates)?;
     sink_seconds += timed.elapsed().as_secs_f64();
 
-    let mut timing = SinkTiming::default();
-    let mut global_line = 0usize;
-    let mut cells: Vec<FieldCell> = Vec::new();
-    let mut reps: Vec<u32> = Vec::new();
-
-    // Worker budget for per-window extraction (span backend): the per-line match question
-    // depends only on the text from each line onward, so a window's match table can be
-    // computed by scoped workers and consumed by the same sequential decision loop —
-    // record order and sink bytes are identical for any thread count (enforced by
-    // `tests/streaming_export_equivalence.rs`).  Small windows fall back to the
-    // single-threaded loop via `effective_chunks`.
-    let par_options = ParallelOptions::default()
-        .with_threads(resolve_threads(engine.config().extraction_threads));
-
-    // Phase 2: window-by-window extraction.
     loop {
         // Window-bytes budget: a resident window past the cap means the carry tail (or a
         // single record) has outgrown what the caller is willing to keep in memory.
@@ -835,109 +900,40 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
                 break;
             }
         }
-        let dataset = Dataset::new(buffer.as_str());
-        summary.windows += 1;
-        summary.peak_window_bytes = summary
-            .peak_window_bytes
-            .max(buffer.capacity() + dataset.len());
-        let n = dataset.line_count();
-        debug_assert_eq!(n, window_reader.metas.len(), "line metadata stays aligned");
-        // Lines at or after `safe_limit` may still be the head of a record whose tail has not
-        // been read yet; they are only decided once the stream is exhausted.
-        let safe_limit = if eof { n } else { n.saturating_sub(max_span) };
-
-        let match_timer = Instant::now();
-        let stats_before = matcher.stats();
-        let chunks = par_options.effective_chunks(n);
-        let table = match &matcher {
-            WindowMatcher::Span(m, _) if chunks > 1 => Some(m.match_table(&dataset, chunks)),
-            _ => None,
-        };
-
-        let mut line = 0usize;
-        let mut window_noise = 0usize;
-        while line < n {
-            // One decision loop for both paths: the precomputed table (parallel windows)
-            // and the incremental matcher fill the same reusable buffers, so the
-            // safe-limit rules, record construction, and accounting exist exactly once.
-            let matched = match &table {
-                Some(table) => table.record_at(line).map(|(rec, rec_cells, rec_reps)| {
-                    cells.clear();
-                    reps.clear();
-                    cells.extend_from_slice(rec_cells);
-                    reps.extend_from_slice(rec_reps);
-                    WindowRecord {
-                        template_index: rec.template_index as usize,
-                        line_span: rec.line_span,
+        let metas = &window_reader.metas;
+        // Until the stream is exhausted, the last `max_span` lines may still be the head
+        // of a record whose tail has not been read yet.
+        let lookahead = if eof { 0 } else { max_span };
+        let (window, carried) = decider.decide(
+            &mut buffer,
+            lookahead,
+            &mut matcher,
+            sink,
+            &mut summary,
+            |summary, line, text| {
+                // Lossily decoded lines were already quarantined raw at read time;
+                // quarantining the window copy too would duplicate (and corrupt — the
+                // window holds replacement characters) the entry.
+                match metas.get(line) {
+                    Some(meta) if options.on_error == ErrorPolicy::Quarantine && !meta.lossy => {
+                        quarantine_bytes(
+                            &mut quarantine,
+                            summary,
+                            meta.input_line,
+                            QuarantineReason::Unmatched,
+                            text.as_bytes(),
+                        )
                     }
-                }),
-                None => matcher.match_line(&dataset, line, &mut cells, &mut reps),
-            };
-            match matched {
-                Some(rec) => {
-                    if !eof && rec.line_span.1 > safe_limit {
-                        break;
-                    }
-                    let record = StreamRecord {
-                        template_index: rec.template_index,
-                        line_span: (global_line + rec.line_span.0, global_line + rec.line_span.1),
-                        window: dataset.text(),
-                        cells: &cells,
-                        reps: &reps,
-                    };
-                    timing.record(sink, &record)?;
-                    summary.records += 1;
-                    line = rec.line_span.1;
+                    _ => Ok(()),
                 }
-                None => {
-                    if !eof && line >= safe_limit {
-                        break;
-                    }
-                    summary.noise_lines += 1;
-                    window_noise += 1;
-                    if options.on_error == ErrorPolicy::Quarantine {
-                        // Lossily decoded lines were already quarantined raw at read time;
-                        // quarantining the window copy too would duplicate (and corrupt —
-                        // the window holds replacement characters) the entry.
-                        let meta = window_reader.metas.get(line);
-                        if let Some(meta) = meta.filter(|m| !m.lossy).copied() {
-                            let (s, e) = dataset.line_span(line);
-                            quarantine_bytes(
-                                &mut quarantine,
-                                &mut summary,
-                                meta.input_line,
-                                QuarantineReason::Unmatched,
-                                &dataset.text().as_bytes()[s..e],
-                            )?;
-                        }
-                    }
-                    line += 1;
-                }
-            }
-        }
-        summary.match_seconds += match_timer.elapsed().as_secs_f64();
-
-        // Everything before `line` is decided; account for it and carry the tail over.
-        let consumed_lines = line.min(n);
-        let consumed_bytes = if line >= n {
-            buffer.len()
-        } else {
-            dataset.line_start(line)
-        };
-        summary.bytes_processed += consumed_bytes;
-        summary.lines_processed += consumed_lines;
-        summary.window_unmatched.push(WindowUnmatched {
-            lines: consumed_lines,
-            unmatched: window_noise,
-        });
-        // Matcher work for this window: the parallel path's table carries its own merged
-        // per-chunk counters; the incremental path is the delta on the long-lived scratch.
-        summary.window_match_stats.push(match &table {
-            Some(table) => table.stats(),
-            None => matcher.stats().since(&stats_before),
-        });
-        global_line += consumed_lines;
-        window_reader.consume_metas(consumed_lines);
+            },
+        )?;
+        window_reader.consume_metas(window.lines);
+        debug_assert_eq!(
+            carried,
+            window_reader.metas.len(),
+            "line metadata stays aligned"
+        );
 
         // Soft budgets: stop gracefully (flushing the sink) rather than abort — everything
         // durable so far is preserved and the summary says why we stopped.
@@ -954,19 +950,9 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
                 break;
             }
         }
-
-        if eof && line >= n {
-            break;
-        }
-        let tail = buffer.split_off(consumed_bytes);
-        buffer = tail;
-
+        // At end of stream the decider consumes the whole window.
         if eof {
-            // The undecided tail with no further input: one last pass with `eof` semantics.
-            if buffer.is_empty() {
-                break;
-            }
-            continue;
+            break;
         }
         eof = window_reader.fill(
             &mut buffer,
@@ -980,8 +966,7 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
     let timed = Instant::now();
     sink.finish()?;
     sink_seconds += timed.elapsed().as_secs_f64();
-    sink_seconds += timing.estimate();
-    summary.sink_seconds = sink_seconds;
+    summary.sink_seconds = sink_seconds + decider.sink_seconds();
     Ok(summary)
 }
 
@@ -1751,45 +1736,6 @@ mod tests {
         assert_eq!(summary.stopped_reason, Some(StopReason::WindowBytes));
         assert_eq!(summary.records, 0);
         assert_eq!(summary.windows, 0);
-    }
-
-    /// The deprecated free functions are thin wrappers over [`StreamSession`]: both
-    /// surfaces must produce identical records and summaries.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_stream_session() {
-        let text = kv_log(200);
-        let engine = Datamaran::with_defaults();
-        let options = StreamOptions {
-            head_bytes: 2 * 1024,
-            window_bytes: 512,
-            ..StreamOptions::default()
-        };
-        let mut via_session = Vec::new();
-        let s1 = StreamSession::new(&engine)
-            .options(options)
-            .run_with(Cursor::new(text.clone()), |r| via_session.push(r))
-            .unwrap();
-        let mut via_wrapper = Vec::new();
-        let s2 = extract_stream(&engine, Cursor::new(text.clone()), options, |r| {
-            via_wrapper.push(r)
-        })
-        .unwrap();
-        assert_eq!(via_session, via_wrapper);
-        assert_eq!(s1.records, s2.records);
-        assert_eq!(s1.templates, s2.templates);
-
-        let mut counting = crate::export::CountingSink::default();
-        let s3 = extract_stream_with_templates(
-            &engine,
-            Cursor::new(text),
-            options,
-            s1.templates.clone(),
-            &mut counting,
-        )
-        .unwrap();
-        assert_eq!(s3.records, s1.records);
-        assert_eq!(counting.records, s1.records);
     }
 
     #[test]

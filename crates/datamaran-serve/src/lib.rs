@@ -23,9 +23,8 @@ use datamaran_core::export::{JsonLinesSink, RetryPolicy, RetryingSink};
 use datamaran_core::json::JsonValue;
 use datamaran_core::pipeline::Datamaran;
 use datamaran_core::serve::{
-    merge_summaries, ServeMetrics, ServeOptions, ServeSession, SnapshotStore, TemplateSnapshot,
+    ServeMetrics, ServeOptions, ServeSession, SnapshotStore, TemplateSnapshot,
 };
-use datamaran_core::streaming::StreamSummary;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -225,16 +224,6 @@ impl Write for LineForwarder {
     }
 }
 
-/// Daemon-wide counters folded in from finished connections.
-#[derive(Default)]
-struct DaemonState {
-    summary: StreamSummary,
-    swaps: u64,
-    rediscover_failures: u64,
-    residual_dropped: usize,
-    connections: u64,
-}
-
 /// The shared heart of the daemon: one engine, one [`SnapshotStore`], one output stream,
 /// and the aggregate counters.  Transports ([`serve_stdin`], [`serve_unix`],
 /// [`serve_http`]) hand each connection's reader to [`handle_stream`](Self::handle_stream).
@@ -244,7 +233,8 @@ pub struct Daemon {
     options: ServeOptions,
     retry: RetryPolicy,
     writer: SharedWriter,
-    state: Mutex<DaemonState>,
+    /// Daemon-wide counters folded in from finished connections.
+    aggregate: Mutex<ServeMetrics>,
     draining: AtomicBool,
     active: AtomicUsize,
 }
@@ -280,7 +270,7 @@ impl Daemon {
             options,
             retry: RetryPolicy::default(),
             writer: SharedWriter::new(output, flush),
-            state: Mutex::new(DaemonState::default()),
+            aggregate: Mutex::new(ServeMetrics::default()),
             draining: AtomicBool::new(false),
             active: AtomicUsize::new(0),
         })
@@ -338,57 +328,32 @@ impl Daemon {
     /// blocking read only returns once a line arrives; see the signal notes in `main`).
     pub fn handle_stream_with_shutdown<R: BufRead>(
         &self,
-        mut reader: R,
+        reader: R,
         shutdown: Option<&AtomicBool>,
     ) -> Result<ServeMetrics> {
         let forwarder = LineForwarder::new(self.writer.clone());
         let mut sink = RetryingSink::new(JsonLinesSink::new(forwarder), self.retry);
-        let mut session = ServeSession::new(&self.engine, &self.store, self.options)?;
-        let mut raw = Vec::new();
-        let mut invalid_utf8 = 0usize;
-        loop {
-            if shutdown.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-                break;
-            }
-            raw.clear();
-            let n = reader.read_until(b'\n', &mut raw)?;
-            if n == 0 {
-                break;
-            }
-            match std::str::from_utf8(&raw) {
-                Ok(line) => session.push_line(line, &mut sink)?,
-                Err(_) => {
-                    invalid_utf8 += 1;
-                    let line = String::from_utf8_lossy(&raw);
-                    session.push_line(&line, &mut sink)?;
-                }
-            }
-        }
-        // `finish` flushes the sink chain down through the shared writer.
-        let mut metrics = session.finish(&mut sink)?;
-        metrics.summary.invalid_utf8_lines += invalid_utf8;
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        merge_summaries(&mut state.summary, &metrics.summary);
-        state.swaps += metrics.swaps;
-        state.rediscover_failures += metrics.rediscover_failures;
-        state.residual_dropped += metrics.residual_dropped;
-        state.connections += 1;
+        // `run` finishes the session, which flushes the sink chain down through the
+        // shared writer.
+        let metrics = ServeSession::new(&self.engine, &self.store, self.options)?
+            .run(reader, &mut sink, shutdown)?;
+        self.aggregate
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .merge(&metrics);
         Ok(metrics)
     }
 
     /// Daemon-wide aggregate metrics (all finished connections; the residual buffers are
     /// per-connection and report as empty here).
     pub fn metrics(&self) -> ServeMetrics {
-        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        ServeMetrics {
-            summary: state.summary.clone(),
-            snapshot_version: self.store.version(),
-            swaps: state.swaps,
-            rediscover_failures: state.rediscover_failures,
-            residual_lines: 0,
-            residual_bytes: 0,
-            residual_dropped: state.residual_dropped,
-        }
+        let mut metrics = self
+            .aggregate
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone();
+        metrics.snapshot_version = self.store.version();
+        metrics
     }
 
     /// The aggregate metrics as the shared `{"stream": ..., "serve": ...}` JSON document,

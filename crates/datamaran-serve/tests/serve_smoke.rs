@@ -2,8 +2,8 @@
 //! start the daemon in-process on a unix socket, replay a LogHub-clone corpus stream with
 //! injected drift (the dataset switches mid-stream), and assert the unmatched rate
 //! recovers after the automatic rediscovery + hot swap.  The resulting metrics document
-//! is written to `SERVE_SMOKE_OUT` (default `target/SERVE_SMOKE.json`) and uploaded as a
-//! CI artifact.
+//! is written to `SERVE_SMOKE_OUT` (default: the workspace's `target/SERVE_SMOKE.json`) and
+//! uploaded as a CI artifact.
 
 use datamaran_core::artifact::TemplateArtifact;
 use datamaran_core::json::JsonValue;
@@ -104,8 +104,9 @@ fn drifting_corpus_stream_recovers_after_hot_swap() {
     server.join().unwrap().unwrap();
 
     // Persist the metrics document for the CI artifact upload before asserting.
-    let out_path =
-        std::env::var("SERVE_SMOKE_OUT").unwrap_or_else(|_| "target/SERVE_SMOKE.json".to_string());
+    let out_path = std::env::var("SERVE_SMOKE_OUT").unwrap_or_else(|_| {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/SERVE_SMOKE.json").to_string()
+    });
     if let Some(parent) = std::path::Path::new(&out_path).parent() {
         std::fs::create_dir_all(parent).ok();
     }

@@ -221,6 +221,39 @@ proptest! {
     }
 }
 
+/// Strategy producing strings biased toward what JSON escaping must handle: quotes,
+/// backslashes, control characters and multi-byte characters, mixed with arbitrary scalars.
+fn json_text() -> impl Strategy<Value = String> {
+    const TRICKY: [char; 12] = [
+        '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '日', '\u{fffd}', '🦀',
+    ];
+    prop::collection::vec(any::<u32>(), 0..48).prop_map(|codes| {
+        codes
+            .into_iter()
+            .map(|code| match code % 3 {
+                0 => TRICKY[(code / 3) as usize % TRICKY.len()],
+                1 => char::from_u32(0x20 + (code / 3) % 0x5f).unwrap_or('?'),
+                _ => char::from_u32((code / 3) % 0x11_0000).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every string survives `to_pretty` → `parse` unchanged, as a value and as a key.
+    #[test]
+    fn json_strings_round_trip(text in json_text(), key in json_text()) {
+        use datamaran::core::JsonValue;
+        let doc = JsonValue::Object(vec![
+            (key, JsonValue::String(text.clone())),
+            ("list".into(), JsonValue::Array(vec![JsonValue::String(text)])),
+        ]);
+        prop_assert_eq!(JsonValue::parse(&doc.to_pretty()).unwrap(), doc);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

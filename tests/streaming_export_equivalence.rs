@@ -8,8 +8,8 @@
 
 use datamaran::core::{
     all_records_jsonl, table_to_csv, CountingSink, CsvSink, Datamaran, ErrorPolicy, JsonLinesSink,
-    RecordingSleeper, RetryPolicy, RetryingSink, StreamOptions, StreamSession, Tee,
-    VecQuarantineSink,
+    RecordingSleeper, RetryPolicy, RetryingSink, ServeOptions, ServeSession, SnapshotStore,
+    StreamOptions, StreamSession, Tee, TemplateSnapshot, VecQuarantineSink,
 };
 use std::io::Cursor;
 
@@ -125,57 +125,34 @@ fn assert_streaming_equivalence(name: &str, text: &str, options: StreamOptions) 
         "{name}: guarded JSON Lines bytes"
     );
 
-    // The deprecated free-function surface is a thin wrapper over [`StreamSession`]; its
-    // output must stay byte-identical to the session's until the wrappers are removed.
-    #[allow(deprecated)]
-    {
-        use datamaran::core::{extract_stream_sink, extract_stream_sink_guarded};
-        let mut legacy = Tee(
-            CsvSink::new(|_name: &str| Ok(Vec::<u8>::new())),
-            JsonLinesSink::new(Vec::<u8>::new()),
-        );
-        let legacy_summary =
-            extract_stream_sink(&engine, Cursor::new(text.to_string()), options, &mut legacy)
-                .expect("legacy streaming succeeds");
+    // The serving path decides windows of pushed lines with the same safe-limit rule: on
+    // the stream's own templates, with rediscovery off, it must emit the same rows for any
+    // window size — including windows smaller than the record-span bound.
+    for window_lines in [1, 3, 10, 11, 64, 256] {
+        let snapshot = TemplateSnapshot::compile(1, summary.templates.clone(), &engine)
+            .expect("templates compile");
+        let store = SnapshotStore::new(snapshot);
+        let options = ServeOptions::default()
+            .with_window_lines(window_lines)
+            .with_rediscover(false);
+        let mut session = ServeSession::new(&engine, &store, options).expect("valid options");
+        let mut served = JsonLinesSink::new(Vec::<u8>::new());
+        for line in text.split_inclusive('\n') {
+            session.push_line(line, &mut served).expect("push succeeds");
+        }
+        let metrics = session.finish(&mut served).expect("serving succeeds");
         assert_eq!(
-            legacy_summary.records, summary.records,
-            "{name}: legacy records"
-        );
-        let Tee(legacy_csv, legacy_jsonl) = legacy;
-        assert_eq!(
-            legacy_csv.into_writers(),
-            plain_tables,
-            "{name}: legacy CSV bytes"
+            metrics.summary.records, summary.records,
+            "{name}: served records at window_lines {window_lines}"
         );
         assert_eq!(
-            legacy_jsonl.into_writer(),
-            jsonl_bytes,
-            "{name}: legacy JSON Lines bytes"
-        );
-
-        let mut legacy_guarded = JsonLinesSink::new(Vec::<u8>::new());
-        let mut legacy_quarantine = VecQuarantineSink::default();
-        let legacy_guarded_summary = extract_stream_sink_guarded(
-            &engine,
-            Cursor::new(text.to_string()),
-            options.with_on_error(ErrorPolicy::Quarantine),
-            &mut legacy_guarded,
-            Some(&mut legacy_quarantine),
-        )
-        .expect("legacy guarded streaming succeeds");
-        assert_eq!(
-            legacy_guarded_summary.records, guarded_summary.records,
-            "{name}: legacy guarded records"
+            metrics.summary.noise_lines, summary.noise_lines,
+            "{name}: served noise at window_lines {window_lines}"
         );
         assert_eq!(
-            legacy_guarded.into_writer(),
-            jsonl_bytes,
-            "{name}: legacy guarded JSON Lines bytes"
-        );
-        assert_eq!(
-            legacy_quarantine.entries.len(),
-            quarantine.entries.len(),
-            "{name}: legacy quarantine entry count"
+            String::from_utf8(served.into_writer()).unwrap(),
+            String::from_utf8(jsonl_bytes.clone()).unwrap(),
+            "{name}: served JSON Lines bytes at window_lines {window_lines}"
         );
     }
 }
